@@ -20,6 +20,15 @@ compared bitwise against the sequential oracle — ``bind_instance`` +
 ``solve_on_network`` on the same solver — and the per-lane verdicts
 land in the JSON as ``bit_identical_lanes``.
 
+A second row prices the serving shape of ``/v1/scenarios`` with ρ
+adaptation *on*: 16 q-perturbed lanes per base (mpc-2, portfolio-40,
+svm-3) starting from the default ρ, so lanes adapt inside the pass.
+Adapting lanes refactorize in lockstep rather than leaving the group;
+the row records the pass's wall time against the 16 solo solves, the
+ρ adaptations it absorbed and how many lockstep groups the pass ran
+(``lane_groups``, which must be 1: with no bail-out callback a second
+group exists only if a lane was pulled out of lockstep for ρ).
+
 Writes ``BENCH_batch.json`` (repo root + ``benchmarks/results/``).
 
 Runnable two ways:
@@ -27,8 +36,10 @@ Runnable two ways:
 * ``pytest benchmarks/bench_batch.py`` — harness run (quick sweep);
 * ``python benchmarks/bench_batch.py [--quick] [--check]`` — CI smoke
   entry point; ``--check`` exits non-zero unless batch-16 aggregate
-  throughput is >= 4x batch-1 on at least 3 of the 4 domains and every
-  verified lane is bit-identical.
+  throughput is >= 4x batch-1 on at least 3 of the 4 domains, every
+  verified lane is bit-identical, and in the adaptive-ρ row ρ adapts,
+  no lane leaves lockstep, and every lane matches its solo solve in
+  results, cycles and host crossings.
 """
 
 from __future__ import annotations
@@ -77,6 +88,18 @@ PATTERNS = {
 FULL_SWEEP = (1, 4, 16, 64, 256)
 QUICK_SWEEP = (1, GATE_BATCH)
 
+# Adaptive-ρ fan-out row: the serving default settings (ρ adaptation
+# on, default initial ρ), stream-fanout's scenario patterns.  Base
+# seeds are chosen so ρ adapts in every row (mpc-2 at seed 0 converges
+# before the first adaptation check).
+ADAPTIVE_SETTINGS = Settings(adaptive_rho=True)
+ADAPTIVE_LANES = 16
+ADAPTIVE_PATTERNS = {
+    "mpc-2": lambda: mpc_problem(2, horizon=4, seed=3),
+    "portfolio-40": lambda: portfolio_problem(40, seed=0),
+    "svm-3": lambda: svm_problem(3, n_samples=12, seed=1),
+}
+
 
 def _time_batch(
     solver: MIBSolver, problems: list[QPProblem], reps: int
@@ -94,10 +117,13 @@ def _time_batch(
 
 
 def _verify_lanes(
-    solver: MIBSolver, problems: list[QPProblem]
+    solver: MIBSolver, problems: list[QPProblem], batch=None
 ) -> list[bool]:
-    """Bitwise per-lane verdicts of solve_batch vs the solo oracle."""
-    batch = solver.solve_batch(problems)
+    """Bitwise per-lane verdicts of solve_batch (run here unless
+    ``batch`` is given) vs the solo oracle: results, cycles, ρ updates
+    and host crossings."""
+    if batch is None:
+        batch = solver.solve_batch(problems)
     verdicts = []
     for problem, lane in zip(problems, batch.lanes):
         solver.bind_instance(problem)
@@ -106,11 +132,65 @@ def _verify_lanes(
             lane.status is solo.status
             and lane.iterations == solo.iterations
             and lane.cycles == solo.cycles
+            and lane.host_crossings == solo.host_crossings
+            and lane.rho_updates == solo.rho_updates
             and lane.x.tobytes() == solo.x.tobytes()
             and lane.y.tobytes() == solo.y.tobytes()
             and lane.z.tobytes() == solo.z.tobytes()
         )
     return verdicts
+
+
+def _count_lane_groups(solver: MIBSolver) -> list[int]:
+    """Record the width of every lockstep group ``solver``'s next
+    ``solve_batch`` runs (undo with ``del solver._run_batch_group``)."""
+    widths: list[int] = []
+    run_group = solver._run_batch_group
+
+    def counting(g, *args, **kwargs):
+        widths.append(int(g.ids.size))
+        return run_group(g, *args, **kwargs)
+
+    solver._run_batch_group = counting
+    return widths
+
+
+def run_adaptive_rho() -> dict:
+    """One 16-lane pass per base with ρ adaptation on, timed against
+    the 16 solo solves that double as its bitwise oracle."""
+    rows: dict[str, dict] = {}
+    for name, gen in ADAPTIVE_PATTERNS.items():
+        base = gen()
+        solver = MIBSolver(
+            base, variant="direct", c=C, settings=ADAPTIVE_SETTINGS
+        )
+        lanes = [
+            perturbed(base, seed) for seed in range(1, ADAPTIVE_LANES + 1)
+        ]
+        solver.solve_batch(lanes[:1])  # warm up maps, traces, scratch
+        groups = _count_lane_groups(solver)
+        t0 = time.perf_counter()
+        batch = solver.solve_batch(lanes)
+        batch_wall = time.perf_counter() - t0
+        del solver._run_batch_group
+        t0 = time.perf_counter()
+        verdicts = _verify_lanes(solver, lanes, batch)
+        solo_wall = time.perf_counter() - t0
+        rows[name] = {
+            "n": base.n,
+            "m": base.m,
+            "lanes": len(lanes),
+            "rho_updates": sum(r.rho_updates for r in batch.lanes),
+            "adapting_lanes": sum(r.rho_updates > 0 for r in batch.lanes),
+            "lane_groups": len(groups),
+            "iterations": sorted({r.iterations for r in batch.lanes}),
+            "batch_wall_s": batch_wall,
+            "solo_wall_s": solo_wall,
+            "speedup_vs_solo": solo_wall / batch_wall,
+            "bit_identical_lanes": verdicts,
+            "bit_identical": all(verdicts),
+        }
+    return rows
 
 
 def run_benchmark(*, quick: bool = False) -> dict:
@@ -164,6 +244,7 @@ def run_benchmark(*, quick: bool = False) -> dict:
         "quick": quick,
         "batch_sweep": list(sweep),
         "domains": domains,
+        "adaptive_rho": run_adaptive_rho(),
         "gate": {
             "batch": GATE_BATCH,
             "threshold": GATE_SPEEDUP,
@@ -183,6 +264,23 @@ def check(doc: dict) -> list[str]:
                 i for i, ok in enumerate(d["bit_identical_lanes"]) if not ok
             ]
             failures.append(f"{name}: lanes {bad} diverge from solo solves")
+    for name, row in doc["adaptive_rho"].items():
+        if not row["rho_updates"]:
+            failures.append(f"adaptive-rho {name}: rho never adapted")
+        if row["lane_groups"] != 1:
+            failures.append(
+                f"adaptive-rho {name}: {row['lane_groups'] - 1} lanes "
+                f"left lockstep"
+            )
+        if not row["bit_identical"]:
+            bad = [
+                i for i, ok in enumerate(row["bit_identical_lanes"])
+                if not ok
+            ]
+            failures.append(
+                f"adaptive-rho {name}: lanes {bad} diverge from solo "
+                f"solves"
+            )
     gate = doc["gate"]
     if gate["domains_passing"] < gate["min_domains"]:
         slow = {
@@ -217,6 +315,17 @@ def main(argv: list[str]) -> int:
         print(
             f"{name:<10} {per_b} | x{d['speedup_16_vs_1']:.1f} @16 | "
             f"bit_identical={d['bit_identical']}"
+        )
+    for name, row in doc["adaptive_rho"].items():
+        print(
+            f"adaptive-rho {name:<13} {row['lanes']} lanes, "
+            f"{row['rho_updates']} rho updates on "
+            f"{row['adapting_lanes']} lanes, "
+            f"{row['lane_groups']} lockstep group(s) | "
+            f"pass {row['batch_wall_s'] * 1e3:.0f} ms vs solo "
+            f"{row['solo_wall_s'] * 1e3:.0f} ms "
+            f"(x{row['speedup_vs_solo']:.1f}) | "
+            f"bit_identical={row['bit_identical']}"
         )
     gate = doc["gate"]
     print(

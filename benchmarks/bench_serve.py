@@ -148,9 +148,9 @@ def run_policy_comparison(burst: int = BATCH_BURST) -> dict:
     ones; each policy is then measured over ``MEASURED_BURSTS`` bursts
     with pooled latencies to damp scheduler noise.
 
-    Patterns whose lanes keep leaving lockstep (rho refactorization)
-    learn a solo cap under ``adaptive`` — the honest outcome is a
-    ~1x ratio over ``off``, not a win.
+    Patterns whose batched lanes cost no less than solo solves learn
+    a solo cap under ``adaptive`` — the honest outcome is a ~1x ratio
+    over ``off``, not a win.
     """
     per_pattern: dict[str, dict] = {}
     with ServeServer(

@@ -12,7 +12,7 @@ actually touches onto columns of a dense ``(B, K)`` array.  The
 flat-index -> column assignment is append-only and *shared* between a
 state and every lane extracted from it, which keeps the per-trace
 gather/scatter column maps (cached on first use) valid across
-early-harvest compaction and solo-lane extraction.
+early-harvest compaction and bail-out lane extraction.
 
 Lanes read exactly what a freshly reset
 :class:`~repro.arch.simulator.NetworkSimulator` would: every word not

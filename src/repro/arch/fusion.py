@@ -1453,7 +1453,7 @@ class FusedBatchRun:
     The batched twin of :class:`FusedRun` over a
     :class:`~repro.arch.batch.BatchSimState`: state/coeff/values carry
     a leading lane axis, sync-in gathers through the context's shared
-    column maps, and lane surgery (harvest compaction, solo extraction)
+    column maps, and lane surgery (harvest compaction, bail-out extraction)
     simply invalidates the run — the next replay re-syncs from the
     surgically updated context, which the solver flushed with
     :meth:`sync_out` before operating on it.

@@ -128,11 +128,8 @@ class MIBNetworkSolveReport:
     objective: float
     primal_infeasibility_certificate: np.ndarray | None = None
     dual_infeasibility_certificate: np.ndarray | None = None
-    # Batch path only: the lane left the lockstep group (ρ
-    # refactorization or bail-out split) and finished solo.
-    solo: bool = False
-    # Batch path only: the lane was split out by a ``progress``
-    # callback's bail-out decision rather than by ρ adaptation.
+    # Batch path only: a ``progress`` callback's bail-out decision split
+    # the lane out of lockstep and it finished in its own group.
     bailed: bool = False
     # Host→numpy crossings of the whole solve (observability, not
     # priced in cycles).  Excluded from equality: execution modes are
@@ -151,10 +148,9 @@ class MIBBatchReport:
 
     lanes: list[MIBNetworkSolveReport]  # input order
     batch: int
-    solo_lanes: int  # lanes that finished outside the lockstep group
     total_cycles: int  # Σ per-lane cycles (sequential-equivalent work)
     max_cycles: int  # slowest lane (the batch's modeled wall time)
-    bailout_lanes: int = 0  # solo lanes split out by a bail-out decision
+    bailout_lanes: int = 0  # lanes split out by a bail-out decision
     rho0: float | None = None  # initial ρ the lanes started from
 
     @property
@@ -173,8 +169,8 @@ class BatchProgress:
     to harvest); their spread across ``ids`` is the live convergence
     heterogeneity a batching policy bails out on.  The callback returns
     an iterable of lane ids (original batch indices) to split out of
-    lockstep into solo groups — each split lane continues from exactly
-    this iteration with unchanged state, so its results stay
+    lockstep into single-lane groups — each split lane continues from
+    exactly this iteration with unchanged state, so its results stay
     bit-identical to a solo solve.
     """
 
@@ -251,11 +247,14 @@ class _LaneGroup:
     """Batch lanes advancing in lockstep through the ADMM loop.
 
     One kernel replay serves every lane in the group; per-lane numeric
-    state lives in the batched context/streams/value arrays.  Lanes
-    leave the group by early harvest (converged / infeasible) or by
-    triggering a ρ refactorization, which extracts them into a solo
-    group so the remaining lanes never execute — or wait on — a
-    factorization they did not ask for.
+    state lives in the batched context/streams/value arrays.  A ρ
+    adaptation stays inside the group: the new ρ is installed on the
+    triggered rows and one factor replay refactorizes every lane (the
+    untriggered rows recompute bitwise-identical L/Dinv from unchanged
+    KKT values), charged only to the triggered lanes.  Lanes leave the
+    group only by early harvest (converged / infeasible) or by a
+    ``progress`` bail-out, which extracts them into a single-lane group
+    carrying their live L/Dinv rows.
     """
 
     def __init__(
@@ -270,8 +269,6 @@ class _LaneGroup:
         rho_updates: np.ndarray,
         crossings: np.ndarray | None = None,
         start_iteration: int = 0,
-        solo: bool = False,
-        needs_refactor: bool = True,
         bailed: bool = False,
     ) -> None:
         self.ids = ids
@@ -287,15 +284,16 @@ class _LaneGroup:
             else np.zeros(ids.size, dtype=np.int64)
         )
         self.start_iteration = start_iteration
-        self.solo = solo
-        # Whether the group must run the factor kernel before its first
-        # KKT solve.  True for the root group (initial factorization)
-        # and ρ-split children (the spawner installed a new ρ); False
-        # for bail-out children, whose extracted streams already carry
-        # the lane's live L/Dinv rows — rerunning factor would charge
-        # cycles a solo solve never pays.
-        self.needs_refactor = needs_refactor
         self.bailed = bailed
+
+    @property
+    def needs_refactor(self) -> bool:
+        """Whether the group runs the factor kernel before its first
+        KKT solve: only the root group does (initial factorization).
+        Bail-out children — the only other groups — carry the lane's
+        live L/Dinv rows in their extracted streams; rerunning factor
+        would charge cycles a solo solve never pays."""
+        return not self.bailed
 
     def compact(self, keep: np.ndarray) -> None:
         self.ids = self.ids[keep]
@@ -308,29 +306,21 @@ class _LaneGroup:
         self.ctx.compact(keep)
         self.streams.compact(keep)
 
-    def extract(
-        self,
-        row: int,
-        *,
-        start_iteration: int,
-        needs_refactor: bool = True,
-        bailed: bool = False,
-    ) -> "_LaneGroup":
+    def extract(self, row: int, *, start_iteration: int) -> "_LaneGroup":
+        """Bail lane ``row`` out as a single-lane group resuming after
+        ``start_iteration`` (the caller compacts it out of ``self``)."""
+        one = slice(row, row + 1)
         return _LaneGroup(
-            ids=self.ids[row : row + 1].copy(),
+            ids=self.ids[one].copy(),
             ctx=self.ctx.extract(row),
             streams=self.streams.extract(row),
-            arrays={
-                k: v[row : row + 1].copy() for k, v in self.arrays.items()
-            },
-            rho=self.rho[row : row + 1].copy(),
-            cycles=self.cycles[row : row + 1].copy(),
-            rho_updates=self.rho_updates[row : row + 1].copy(),
-            crossings=self.crossings[row : row + 1].copy(),
+            arrays={k: v[one].copy() for k, v in self.arrays.items()},
+            rho=self.rho[one].copy(),
+            cycles=self.cycles[one].copy(),
+            rho_updates=self.rho_updates[one].copy(),
+            crossings=self.crossings[one].copy(),
             start_iteration=start_iteration,
-            solo=True,
-            needs_refactor=needs_refactor,
-            bailed=bailed or self.bailed,
+            bailed=True,
         )
 
 
@@ -437,6 +427,9 @@ class _ReplayBatchIterationEngine:
     def read_view(self, view) -> np.ndarray:
         return self.g.ctx.read_vector(view)
 
+    def pending_sync(self) -> int:
+        return 0
+
     def flush(self) -> None:
         pass
 
@@ -449,9 +442,9 @@ class _FusedBatchIterationEngine:
     :class:`~repro.arch.batch.BatchSimState`.
 
     The solver flushes before any lane surgery (harvest compaction,
-    solo extraction, refactorization) so the context is current, then
-    invalidates; the next replay re-syncs from the surgically updated
-    context at its new width.
+    bail-out extraction, refactorization) so the context is current,
+    then invalidates; the next replay re-syncs from the surgically
+    updated context at its new width.
     """
 
     def __init__(
@@ -472,6 +465,11 @@ class _FusedBatchIterationEngine:
         if not self.run_state.valid:
             return self.g.ctx.read_vector(view)
         return self.run_state.read_view(self.g.ctx, view)
+
+    def pending_sync(self) -> int:
+        """Crossings the next :meth:`run` spends re-syncing the fused
+        state from the context (0 while the state is current)."""
+        return 0 if self.run_state.valid else self.trace.sync_in_crossings
 
     def flush(self) -> None:
         if self.run_state.valid:
@@ -1432,20 +1430,21 @@ class MIBSolver:
         return np.clip(rho_vec, st.rho_min, st.rho_max)
 
     def _apply_batch_rho(
-        self, g: _LaneGroup, row: int, new_rho: float
+        self, g: _LaneGroup, rows: np.ndarray, new_rho: np.ndarray
     ) -> None:
-        """Install an adapted ρ on one lane (called on size-1 groups
-        only; a refactor must follow before the next KKT solve)."""
+        """Install adapted ρ values on rows ``rows`` of a group (a
+        refactor must follow before the next KKT solve).  Untouched
+        rows keep their ρ, ρ vector and KKT values bit for bit."""
         maps = self._batch_maps()
-        g.rho[row] = new_rho
+        g.rho[rows] = new_rho
         rv = self._lane_rho_vec(
-            g.arrays["l"][row], g.arrays["u"][row], new_rho
+            g.arrays["l"][rows], g.arrays["u"][rows], new_rho
         )
-        g.arrays["rho_vec"][row] = rv
-        g.arrays["kdata"][row, maps.rho_positions] = -1.0 / rv
+        g.arrays["rho_vec"][rows] = rv
+        g.arrays["kdata"][np.ix_(rows, maps.rho_positions)] = -1.0 / rv
         g.streams.bind("rho", g.arrays["rho_vec"])
         g.streams.bind("rho_inv", 1.0 / g.arrays["rho_vec"])
-        g.rho_updates[row] += 1
+        g.rho_updates[rows] += 1
 
     def solve_batch(
         self,
@@ -1464,33 +1463,34 @@ class MIBSolver:
         termination decision and cycle count — is bit-identical to
         :meth:`bind_instance` + :meth:`solve_on_network` run
         sequentially for that instance.  Lanes are harvested out of the
-        batch as they converge (or certify infeasibility), and a lane
-        whose ρ adaptation triggers a refactorization is extracted into
-        a solo group that finishes on its own — lockstep never trades
-        a lane's answer for batch shape ("no silent wrong answers").
+        batch as they converge (or certify infeasibility).  ρ
+        adaptation is per lane but stays in lockstep: the triggered
+        lanes get their new ρ installed in place and one factor replay
+        refactorizes the whole group, its cycles and host crossings
+        charged only to the triggered lanes — so every lane's report,
+        crossings included, equals its solo solve's.
 
         ``rho0`` is the ρ every lane starts from (default
         ``settings.rho``).  A serving layer passes its warm solver's
         adapted ρ here: the default initial ρ is usually wrong for a
-        pattern and forces one adaptation — and therefore one solo
-        extraction — per lane, while the adapted value lets lanes
-        terminate before the ρ check ever fires, exactly like the warm
-        solo path whose ρ persists across ``update_values``.  The
-        differential oracle is :meth:`bind_instance` with the same
-        ``rho0``.
+        pattern and costs every lane an adaptation and a
+        refactorization, while the adapted value lets lanes terminate
+        before the ρ check ever fires, exactly like the warm solo path
+        whose ρ persists across ``update_values``.  The differential
+        oracle is :meth:`bind_instance` with the same ``rho0``.
 
         ``progress``, when given, is called with a
         :class:`BatchProgress` snapshot at every residual check of a
         multi-lane group (after harvest and ρ handling, so splits land
         at an iteration boundary); it may return lane ids to bail out
-        of lockstep into solo groups.  Because the split happens at the
-        same point a ρ extraction would, and carries the lane's live
-        factorization streams, a bailed lane's iterates *and cycles*
-        remain bit-identical to its solo solve.  ``on_lane`` is called
-        as ``on_lane(lane_index, report)`` the moment each lane's
-        :class:`MIBNetworkSolveReport` is finalized — before slower
-        lanes finish — so a serving layer can answer early lanes
-        without waiting for the whole pass.
+        of lockstep into single-lane groups — the only way a lane
+        leaves the group other than harvest.  The split carries the
+        lane's live factorization streams, so a bailed lane's iterates
+        *and cycles* remain bit-identical to its solo solve.
+        ``on_lane`` is called as ``on_lane(lane_index, report)`` the
+        moment each lane's :class:`MIBNetworkSolveReport` is finalized
+        — before slower lanes finish — so a serving layer can answer
+        early lanes without waiting for the whole pass.
         """
         if self.variant != "direct":
             raise ValueError("solve_batch supports the direct variant")
@@ -1586,7 +1586,6 @@ class MIBSolver:
         return MIBBatchReport(
             lanes=lanes,
             batch=b,
-            solo_lanes=sum(r.solo for r in lanes),
             total_cycles=int(sum(cycles)),
             max_cycles=int(max(cycles)),
             bailout_lanes=sum(r.bailed for r in lanes),
@@ -1625,31 +1624,36 @@ class MIBSolver:
 
         engine = self._batch_iteration_engine(sim, g)
 
-        def refactor() -> None:
+        def refactor(charged: np.ndarray) -> None:
+            # One factor replay over the whole group; only the
+            # ``charged`` lanes (those a solo solve would refactorize
+            # here) pay its cycles and crossings, and the fused re-sync
+            # that follows it — a solo solve always runs another
+            # iteration after a factorization (ρ adapts only below
+            # max_iter).  The others recompute bitwise-identical
+            # L/Dinv rows from their unchanged KKT values.
             engine.flush()
             g.streams.bind("K", g.arrays["kdata"][:, maps.perm_map])
             stats = self._trace("factor", sim).replay_batch(
                 g.ctx, g.streams
             )
-            g.cycles += stats.cycles
-            g.crossings += stats.host_crossings
+            g.cycles[charged] += stats.cycles
             g.streams.bind("L", g.ctx.lbuf_matrix(maps.l_nnz))
             g.streams.bind(
                 "Dinv", g.ctx.read_vector(alloc.get("factor_dinv"))
             )
             engine.invalidate()
+            g.crossings[charged] += (
+                stats.host_crossings + engine.pending_sync()
+            )
 
         def emit(lane: int, report: MIBNetworkSolveReport) -> None:
             reports[lane] = report
             if on_lane is not None:
                 on_lane(lane, report)
 
-        # Covers both the initial factorization (root group) and the
-        # post-split ρ refactorization (solo groups: the spawner already
-        # installed the new ρ in the value arrays).  Bail-out children
-        # skip it: their extracted streams carry the live L/Dinv rows.
         if g.needs_refactor:
-            refactor()
+            refactor(np.ones(g.ids.size, dtype=bool))
 
         prim = dual = None
         iteration = g.start_iteration
@@ -1661,9 +1665,13 @@ class MIBSolver:
             if check:
                 x_prev = engine.read_view(v_x)
                 y_prev = engine.read_view(v_y)
+            # A re-sync after lane surgery is the group's cost, not a
+            # lane's: ``refactor`` already charged the lanes whose solo
+            # solve re-syncs here.
+            sync = engine.pending_sync()
             stats = engine.run(check=check)
             g.cycles += stats.cycles
-            g.crossings += stats.host_crossings
+            g.crossings += stats.host_crossings - sync
             if not check:
                 continue
             # Flush the fused state before the harvest/split machinery
@@ -1728,7 +1736,6 @@ class MIBSolver:
                     objective=problems[lane].objective(xr),
                     primal_infeasibility_certificate=cert_p,
                     dual_infeasibility_certificate=cert_d,
-                    solo=g.solo,
                     bailed=g.bailed,
                     host_crossings=int(g.crossings[r]),
                 ))
@@ -1756,27 +1763,9 @@ class MIBSolver:
                     new_rho > g.rho * st.adaptive_rho_tolerance
                 ) | (new_rho < g.rho / st.adaptive_rho_tolerance)
                 if np.any(trigger):
-                    if g.ids.size == 1:
-                        self._apply_batch_rho(g, 0, float(new_rho[0]))
-                        refactor()
-                    else:
-                        # Refactorization drops a lane out of lockstep:
-                        # it finishes solo rather than forcing siblings
-                        # through a factor they did not trigger.
-                        for r in np.flatnonzero(trigger):
-                            child = g.extract(
-                                int(r), start_iteration=iteration
-                            )
-                            self._apply_batch_rho(
-                                child, 0, float(new_rho[r])
-                            )
-                            pending.append(child)
-                        g.compact(~trigger)
-                        engine.invalidate()
-                        prim, dual, ep, ed = (
-                            prim[~trigger], dual[~trigger],
-                            ep[~trigger], ed[~trigger],
-                        )
+                    rows = np.flatnonzero(trigger)
+                    self._apply_batch_rho(g, rows, new_rho[rows])
+                    refactor(trigger)
             if (
                 progress is not None
                 and g.ids.size > 1
@@ -1802,10 +1791,7 @@ class MIBSolver:
                     if np.any(split):
                         for r in np.flatnonzero(split):
                             pending.append(g.extract(
-                                int(r),
-                                start_iteration=iteration,
-                                needs_refactor=False,
-                                bailed=True,
+                                int(r), start_iteration=iteration
                             ))
                         g.compact(~split)
                         engine.invalidate()
@@ -1833,7 +1819,6 @@ class MIBSolver:
                     dual_residual=float(dual[r]),
                     rho_updates=int(g.rho_updates[r]),
                     objective=problems[lane].objective(xr),
-                    solo=g.solo,
                     bailed=g.bailed,
                     host_crossings=int(g.crossings[r]),
                 ))

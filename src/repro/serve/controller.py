@@ -16,11 +16,11 @@ traffic (no offline profiles):
   caps each pattern's batch size from an EWMA cost model: expected
   iterations, warm solo seconds, an affine pass-cost fit
   (``fixed + marginal * lanes``, from decayed regression over observed
-  passes), the solo-fallback rate (lanes leaving lockstep for a rho
-  refactorization) and the per-pass iteration spread.  A pattern whose
-  lanes keep falling out of lockstep, or whose batched passes are
-  slower per lane than solo solves, degenerates to solo dispatch —
-  the honest outcome when batching cannot pay.
+  passes) and the per-pass iteration spread.  A pattern whose batched
+  lanes cost no less than solo solves degenerates to solo dispatch —
+  the honest outcome when batching cannot pay.  Rho adaptation is not
+  a policy input: a lane whose rho adapts refactorizes inside the
+  lockstep group and never leaves it.
 * **who rides together** — :meth:`BatchController.rider` is the
   :meth:`~repro.serve.queue.RequestQueue.next_batch` hook: a candidate
   joins the head's batch only when its values are close to the head's
@@ -34,9 +34,9 @@ traffic (no offline profiles):
   past its iteration budget (learned expectation times a headroom
   factor, tightened by the slowest lane's deadline) and the live
   convergence spread says stragglers are holding the group, the
-  stragglers are split back to solo lanes.  Splits reuse the lockstep
-  loop's extraction mechanism, so bailed lanes stay bit-identical to
-  solo solves.
+  stragglers are split out into single-lane groups.  A split carries
+  the lane's live state and factorization, so bailed lanes stay
+  bit-identical to solo solves.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class PatternStats:
     ewma_lane_seconds: float | None = None  # pass cost / lanes
     ewma_pass_seconds: float | None = None  # batched pass cost
     ewma_pass_iterations: float | None = None  # slowest-lane iterations
-    solo_fallback_rate: float | None = None  # lanes leaving lockstep via rho
     # Decayed first/second moments of (lanes, pass seconds) pairs, for
     # the affine pass-cost fit ``seconds ~= fixed + marginal * lanes``.
     # Per-lane averages (``ewma_lane_seconds``) conflate the two terms:
@@ -159,7 +158,6 @@ class PatternStats:
             "ewma_pass_seconds": self.ewma_pass_seconds,
             "marginal_lane_seconds": self.marginal_lane_seconds,
             "fixed_pass_seconds": self.fixed_pass_seconds,
-            "solo_fallback_rate": self.solo_fallback_rate,
             "solo_solves": self.solo_solves,
             "passes": self.passes,
             "lanes": self.lanes,
@@ -213,10 +211,6 @@ class BatchController:
     bucket_width:
         Maximum :func:`value_distance` between a batch head and a
         rider under the adaptive policy.
-    fallback_threshold:
-        Solo-fallback rate above which a pattern stops batching
-        entirely (its lanes keep leaving lockstep for rho
-        refactorizations, so lockstep only adds overhead).
     bailout_headroom:
         Iteration budget of a pass, as a multiple of the learned
         expected iterations; past it the progress callback starts
@@ -245,7 +239,6 @@ class BatchController:
         alpha: float = DEFAULT_ALPHA,
         latency_budget: float = 6.0,
         bucket_width: float = 0.35,
-        fallback_threshold: float = 0.4,
         bailout_headroom: float = 3.0,
         spread_threshold: float = 10.0,
         min_explore_passes: int = 2,
@@ -262,7 +255,6 @@ class BatchController:
         self.alpha = alpha
         self.latency_budget = latency_budget
         self.bucket_width = bucket_width
-        self.fallback_threshold = fallback_threshold
         self.bailout_headroom = bailout_headroom
         self.spread_threshold = spread_threshold
         self.min_explore_passes = min_explore_passes
@@ -302,22 +294,15 @@ class BatchController:
         lanes: int,
         seconds: float,
         lane_iterations: list[int],
-        solo_lanes: int,
         bailed_lanes: int = 0,
     ) -> None:
-        """Account one batched pass: timing, spread, fallback rate.
-
-        ``solo_lanes`` counts lanes that left lockstep for a rho
-        refactorization (the mechanism's correctness fallback);
-        bail-out splits are tracked separately and do *not* raise the
-        fallback rate — they are the controller's own doing.
-        """
+        """Account one batched pass: timing, spread and the lanes the
+        controller's own bail-out split off."""
         if lanes < 1:
             return
         iters = [int(i) for i in lane_iterations]
         top = max(iters)
         spread = (top - min(iters)) / top if top else 0.0
-        rho_solo = max(0, int(solo_lanes) - int(bailed_lanes))
         with self._lock:
             s = self._stats.setdefault(fingerprint, PatternStats())
             s.ewma_pass_seconds = _ewma(
@@ -340,9 +325,6 @@ class BatchController:
             s.m_cross = _ewma(
                 s.m_cross, float(lanes) * float(seconds), self.alpha
             )
-            s.solo_fallback_rate = _ewma(
-                s.solo_fallback_rate, rho_solo / lanes, self.alpha
-            )
             s.passes += 1
             s.lanes += lanes
             s.bailed_lanes += int(bailed_lanes)
@@ -361,16 +343,14 @@ class BatchController:
         2. the pattern has gone ``explore_interval`` solo solves
            without a pass → explore again: a solo verdict must be
            re-earned, not held forever on stale evidence;
-        3. rho-heavy pattern (fallback rate past the threshold) →
-           solo: its lanes keep leaving lockstep anyway;
-        4. batched lanes not cheaper than solo solves → solo: batching
+        3. batched lanes not cheaper than solo solves → solo: batching
            loses throughput *and* latency.  "Lane cost" is the affine
            fit's *marginal* lane cost when available
            (:attr:`PatternStats.marginal_lane_seconds`), else the
            per-lane average — the average conflates the fixed per-pass
            cost with the marginal lane, so fragmented small passes
            would otherwise park a pattern solo on amortization noise;
-        5. otherwise cap at what the latency budget buys.  The budget
+        4. otherwise cap at what the latency budget buys.  The budget
            reads as "the head may pay up to ``latency_budget`` times
            its solo latency for the pass": a pass of ``cap`` lanes
            costs ``fixed + cap * marginal`` seconds, so
@@ -395,11 +375,6 @@ class BatchController:
                 return hard_cap
             if s.solo_since_pass >= self.explore_interval:
                 return hard_cap
-            if (
-                s.solo_fallback_rate is not None
-                and s.solo_fallback_rate > self.fallback_threshold
-            ):
-                return 1
             solo = s.ewma_solo_seconds
             lane = s.ewma_lane_seconds
             if solo is None or lane is None or lane <= 0.0:

@@ -405,8 +405,7 @@ class SolveEngine:
             # Feed the cost model: per-lane iterations, pass cost in
             # this worker's CPU time (comparable to the solo pricing —
             # wall time would bill the pass for the handler threads it
-            # wakes with its own early responses), rho fallbacks vs
-            # controller bail-outs.
+            # wakes with its own early responses), controller bail-outs.
             self.controller.observe_pass(
                 batch.fingerprint,
                 lanes=len(live),
@@ -414,7 +413,6 @@ class SolveEngine:
                 lane_iterations=[
                     s.report.result.iterations for s in solves
                 ],
-                solo_lanes=sum(s.solo_lane for s in solves),
                 bailed_lanes=sum(s.bailed_lane for s in solves),
             )
 

@@ -72,9 +72,8 @@ class PoolSolve:
     cache_hit: bool  # construction (if any) restored from the cache
     compile_seconds: float  # 0.0 on the warm path
     solve_seconds: float
-    # Batched path only: the lane left lockstep (rho refactorization
-    # or controller bail-out); ``bailed_lane`` isolates the latter.
-    solo_lane: bool = False
+    # Batched path only: a controller bail-out split the lane out of
+    # lockstep (the only way a lane leaves the group unharvested).
     bailed_lane: bool = False
     # Streaming path only: the rebind skipped matrix work (vectors-only
     # delta), and the session key whose carried state seeded the solve.
@@ -376,6 +375,9 @@ class SolverPool:
         One warm solver executes all lanes through
         :meth:`MIBSolver.solve_batch` — a single lockstep pass of the
         compiled traces, per-lane results bit-identical to solo solves.
+        Lanes whose ρ adapts stay in the pass (a per-lane
+        refactorization inside the group); only harvest or a
+        ``progress`` bail-out takes a lane out of lockstep.
         Falls back to sequential :meth:`solve` calls when batching does
         not apply (a single problem, or the indirect variant).
 
@@ -391,8 +393,8 @@ class SolverPool:
         The pass starts every lane from the warm solver's current ρ
         (``rho0``), matching the solo path whose adapted ρ persists
         across ``update_values``: without it every lane re-learns ρ
-        from the configured default, and the resulting refactorization
-        extracts the whole batch out of lockstep one lane at a time.
+        from the configured default and pays the adaptation's extra
+        iterations and refactorization.
         Lane results stay bit-identical to
         ``bind_instance(problem, rho0=...)`` + ``solve_on_network()``
         at that ρ.
@@ -526,7 +528,6 @@ class SolverPool:
             cache_hit=cache_hit,
             compile_seconds=compile_seconds,
             solve_seconds=solve_seconds,
-            solo_lane=lane.solo,
             bailed_lane=lane.bailed,
         )
 

@@ -151,6 +151,9 @@ def test_fused_batch_lanes_match_solo(domain):
         solver.bind_instance(problem)
         solo = solver.solve_on_network()
         assert report_key(lane) == report_key(solo)
+        # Same mode on both sides: crossings must match exactly too
+        # (harvest re-syncs are never charged to the surviving lanes).
+        assert lane.host_crossings == solo.host_crossings
 
 
 def test_fused_crossing_budget():
@@ -200,6 +203,11 @@ def test_fused_batch_lanes_match_solo_per_backend(backend):
     for problem, lane in zip(lanes, batch.lanes):
         oracle.bind_instance(problem)
         assert report_key(lane) == report_key(oracle.solve_on_network())
+        # Crossings are backend-specific: compare against a solo solve
+        # on the batch's own backend.
+        solver.bind_instance(problem)
+        solo = solver.solve_on_network()
+        assert lane.host_crossings == solo.host_crossings
 
 
 def test_cache_restores_fusion_stamp(tmp_path):

@@ -4,10 +4,12 @@ The oracle for lane *i* of ``solve_batch(problems)`` is
 ``bind_instance(problems[i])`` + ``solve_on_network()`` on the *same*
 solver (same Ruiz scaling, ρ reset to its configured initial value) —
 and the contract is bitwise: status, iteration count, executed cycles,
-ρ adaptations, iterates, residuals, objective and infeasibility
-certificates must all be exactly equal, lane by lane, including lanes
-that leave lockstep (early harvest, solo fallback on refactorization,
-a lane going primal-infeasible mid-batch).
+host crossings, ρ adaptations, iterates, residuals, objective and
+infeasibility certificates must all be exactly equal, lane by lane,
+including lanes that adapt ρ inside the group (a per-lane
+refactorization charged only to the lanes that asked for it), lanes
+that leave lockstep (early harvest, a controller bail-out) and a lane
+going primal-infeasible mid-batch.
 """
 
 from __future__ import annotations
@@ -20,20 +22,33 @@ from repro.backends.mib import MIBSolver
 from repro.linalg import CSCMatrix
 from repro.problems import mpc_problem
 from repro.solver import QPProblem, Settings, SolverStatus
+from repro.xp import get_backend
 
 C = 8
 
 # Perturbation scales chosen so one batch exercises every lockstep
-# exit: mixed-convergence early harvest (lanes converge at different
-# iterations), ρ-triggered solo fallback, MAX_ITERATIONS leftovers and
-# a primal-infeasible lane.
+# path: mixed-convergence early harvest (lanes converge at different
+# iterations), a lane that never adapts ρ, lanes that adapt once,
+# twice and three times, a lane whose first adaptation comes checks
+# after its siblings', MAX_ITERATIONS leftovers and a primal-infeasible
+# lane (which adapts twice before it certifies).
 SEED_SCALES = [(11, 3.0), (12, 6.0), (13, 12.0), (14, 25.0), (15, 50.0),
-               (16, 4.0)]
+               (16, 4.0), (48, 8.0), (49, 8.0)]
 
 SETTINGS = Settings(
     max_iter=300, check_interval=5, adaptive_rho=True,
     eps_abs=1e-8, eps_rel=1e-8,
 )
+
+EXECUTIONS = ("interpret", "replay", "fused")
+
+NUMPY = get_backend("numpy")
+
+# The batch path always replays traces, so an interpret-mode batch
+# dispatches exactly what a replay-mode solo solve does: its crossing
+# oracle is the replay solo (results and cycles are mode-independent).
+ORACLE_EXECUTION = {"interpret": "replay", "replay": "replay",
+                    "fused": "fused"}
 
 
 def perturbed_full(base: QPProblem, seed: int, scale: float) -> QPProblem:
@@ -56,7 +71,9 @@ def perturbed_full(base: QPProblem, seed: int, scale: float) -> QPProblem:
     return QPProblem(p=p, q=q, a=a, l=l, u=u, name=base.name)
 
 
-def report_key(r):
+def value_key(r):
+    """Everything but host crossings: backend-independent, so every
+    backend must reproduce the numpy oracle's bytes."""
     return (
         r.status,
         r.iterations,
@@ -69,6 +86,10 @@ def report_key(r):
         r.dual_residual,
         r.objective,
     )
+
+
+def report_key(r):
+    return value_key(r) + (r.host_crossings,)
 
 
 def cert_bytes(cert):
@@ -86,9 +107,30 @@ def solver(base):
 
 
 @pytest.fixture(scope="module")
-def batch_and_solo(base, solver):
-    problems = [perturbed_full(base, s, sc) for s, sc in SEED_SCALES]
-    batch = solver.solve_batch(problems)
+def problems(base):
+    return [perturbed_full(base, s, sc) for s, sc in SEED_SCALES]
+
+
+@pytest.fixture(scope="module")
+def adaptations():
+    """Lane ids given a new ρ at each in-group adaptation, in order
+    (filled by the ``batch_and_solo`` pass)."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def batch_and_solo(problems, solver, adaptations):
+    install = solver._apply_batch_rho
+
+    def recording(g, rows, new_rho):
+        adaptations.append(sorted(int(i) for i in g.ids[rows]))
+        return install(g, rows, new_rho)
+
+    solver._apply_batch_rho = recording
+    try:
+        batch = solver.solve_batch(problems)
+    finally:
+        del solver._apply_batch_rho
     solos = []
     for pr in problems:
         solver.bind_instance(pr)
@@ -96,17 +138,51 @@ def batch_and_solo(base, solver):
     return problems, batch, solos
 
 
+@pytest.fixture(scope="module")
+def oracle(base, problems):
+    """Solo oracles per (execution, backend), built once per module."""
+    runs: dict[tuple[str, str], list] = {}
+
+    def get(execution: str, backend):
+        key = (ORACLE_EXECUTION[execution], backend.name)
+        if key not in runs:
+            solver = MIBSolver(
+                base, variant="direct", c=C, settings=SETTINGS,
+                execution=key[0], array_backend=backend,
+            )
+            runs[key] = []
+            for pr in problems:
+                solver.bind_instance(pr)
+                runs[key].append(solver.solve_on_network())
+        return runs[key]
+
+    return get
+
+
+def assert_lanes_match(lanes, solos, crossing_solos=None) -> None:
+    """Every lane equals its solo oracle bytes-exactly; host crossings
+    are checked against ``crossing_solos`` when given (a solo solve on
+    the batch's own backend — device backends count transfers, not
+    numpy calls)."""
+    if crossing_solos is None:
+        crossing_solos = solos
+    for i, (lane, solo, twin) in enumerate(
+        zip(lanes, solos, crossing_solos, strict=True)
+    ):
+        assert value_key(lane) == value_key(solo), f"lane {i}"
+        assert lane.host_crossings == twin.host_crossings, f"lane {i}"
+        assert cert_bytes(lane.primal_infeasibility_certificate) == (
+            cert_bytes(solo.primal_infeasibility_certificate)
+        ), f"lane {i}"
+        assert cert_bytes(lane.dual_infeasibility_certificate) == (
+            cert_bytes(solo.dual_infeasibility_certificate)
+        ), f"lane {i}"
+
+
 class TestBitwiseDifferential:
     def test_every_lane_bit_identical_to_solo(self, batch_and_solo):
         _, batch, solos = batch_and_solo
-        for i, (lane, solo) in enumerate(zip(batch.lanes, solos)):
-            assert report_key(lane) == report_key(solo), f"lane {i}"
-            assert cert_bytes(lane.primal_infeasibility_certificate) == (
-                cert_bytes(solo.primal_infeasibility_certificate)
-            ), f"lane {i}"
-            assert cert_bytes(lane.dual_infeasibility_certificate) == (
-                cert_bytes(solo.dual_infeasibility_certificate)
-            ), f"lane {i}"
+        assert_lanes_match(batch.lanes, solos)
 
     def test_batch_covers_mixed_convergence(self, batch_and_solo):
         """The fixture batch must actually exercise early harvest:
@@ -130,16 +206,27 @@ class TestBitwiseDifferential:
         for r in infeasible:
             assert r.primal_infeasibility_certificate is not None
 
-    def test_batch_covers_rho_solo_fallback(self, batch_and_solo):
-        """Lanes whose ρ adaptation refactorizes leave lockstep; lanes
-        that never adapt stay batched to the end."""
+    def test_rho_adapting_lanes_stay_in_lockstep(
+        self, batch_and_solo, adaptations
+    ):
+        """ρ adaptation refactorizes inside the group: lanes adapt at
+        different checks and more than once, alongside a lane that
+        never adapts, and none of them leaves lockstep."""
         _, batch, _ = batch_and_solo
-        assert any(r.rho_updates > 0 for r in batch.lanes)
-        assert any(r.rho_updates == 0 for r in batch.lanes)
-        for r in batch.lanes:
-            if r.rho_updates > 0:
-                assert r.solo
-        assert batch.solo_lanes == sum(r.solo for r in batch.lanes)
+        updates = [r.rho_updates for r in batch.lanes]
+        assert 0 in updates
+        assert max(updates) >= 2
+        assert len(adaptations) >= 2
+        first = {}
+        for k, ids in enumerate(adaptations):
+            for lane in ids:
+                first.setdefault(lane, k)
+        assert len(set(first.values())) >= 2, "adaptations at one check"
+        assert any(
+            r.status is SolverStatus.MAX_ITERATIONS for r in batch.lanes
+        )
+        assert not any(r.bailed for r in batch.lanes)
+        assert batch.bailout_lanes == 0
 
     def test_report_aggregates(self, batch_and_solo):
         _, batch, _ = batch_and_solo
@@ -169,24 +256,56 @@ class TestBitwiseDifferential:
             ), f"lane {i}"
 
 
+@pytest.mark.parametrize("execution", EXECUTIONS)
 class TestBackendLaneEquality:
+    """The lockstep gauntlet — lanes adapting ρ at different checks and
+    more than once, next to a never-adapting, a primal-infeasible and
+    a MAX_ITERATIONS lane — in every execution mode on every available
+    array backend.  Every lane must reproduce the numpy solo oracle
+    bytes-exactly; only its host crossings compare against a solo solve
+    on the same backend, since device backends count transfers, not
+    numpy calls."""
+
     def test_every_lane_bit_identical_per_backend(
-        self, base, batch_and_solo, backend
+        self, base, problems, oracle, execution, backend
     ):
-        """The full lockstep gauntlet (early harvest, solo fallback,
-        infeasible lane) re-run through each available array backend
-        must reproduce the numpy solo oracles bytes-exactly."""
-        problems, _, solos = batch_and_solo
         solver = MIBSolver(
             base, variant="direct", c=C, settings=SETTINGS,
-            array_backend=backend,
+            execution=execution, array_backend=backend,
         )
         batch = solver.solve_batch(problems)
-        for i, (lane, solo) in enumerate(zip(batch.lanes, solos)):
-            assert report_key(lane) == report_key(solo), f"lane {i}"
-            assert cert_bytes(lane.primal_infeasibility_certificate) == (
-                cert_bytes(solo.primal_infeasibility_certificate)
-            ), f"lane {i}"
+        assert not any(r.bailed for r in batch.lanes)
+        assert_lanes_match(
+            batch.lanes, oracle(execution, NUMPY), oracle(execution, backend)
+        )
+
+    def test_bailout_after_rho_update_carries_adapted_factor(
+        self, base, problems, oracle, execution, backend
+    ):
+        """A bail-out after a lane's ρ update resumes on the adapted
+        L/Dinv rows it carries out of the group: lane 3 bails at the
+        very check that adapted it (its fused re-sync still pending),
+        lane 7 a check later, and both adapt again on their own."""
+        solver = MIBSolver(
+            base, variant="direct", c=C, settings=SETTINGS,
+            execution=execution, array_backend=backend,
+        )
+        first_adapt = SETTINGS.adaptive_rho_interval
+        plan = {first_adapt: [3], first_adapt + SETTINGS.check_interval: [7]}
+        seen = []
+
+        def progress(snapshot):
+            seen.append(snapshot.iteration)
+            return plan.get(snapshot.iteration, ())
+
+        batch = solver.solve_batch(problems, progress=progress)
+        solos = oracle(execution, NUMPY)
+        assert set(plan) <= set(seen)
+        assert [i for i, r in enumerate(batch.lanes) if r.bailed] == [3, 7]
+        assert batch.bailout_lanes == 2
+        for lane in (3, 7):
+            assert solos[lane].rho_updates >= 2, "needs a later adaptation"
+        assert_lanes_match(batch.lanes, solos, oracle(execution, backend))
 
 
 class TestAgainstHostReference:

@@ -86,7 +86,6 @@ class TestCostModel:
                 lanes=lanes,
                 seconds=fixed + marginal * lanes,
                 lane_iterations=[30] * lanes,
-                solo_lanes=0,
             )
         s = ctrl.stats_for("fp")
         assert s.marginal_lane_seconds == pytest.approx(marginal)
@@ -100,25 +99,25 @@ class TestCostModel:
                 lanes=8,
                 seconds=0.1,
                 lane_iterations=[30] * 8,
-                solo_lanes=0,
             )
         s = ctrl.stats_for("fp")
         assert s.marginal_lane_seconds is None  # var(lanes) == 0
         assert s.ewma_lane_seconds == pytest.approx(0.1 / 8)
 
-    def test_fallback_rate_counts_rho_exits_not_bailouts(self):
+    def test_pass_accumulates_bailed_lanes(self):
         ctrl = BatchController()
-        ctrl.observe_pass(
-            "fp",
-            lanes=8,
-            seconds=0.1,
-            lane_iterations=[30] * 8,
-            solo_lanes=4,
-            bailed_lanes=3,  # controller's own splits are not fallback
-        )
+        for _ in range(2):
+            ctrl.observe_pass(
+                "fp",
+                lanes=8,
+                seconds=0.1,
+                lane_iterations=[30] * 8,
+                bailed_lanes=3,
+            )
         s = ctrl.stats_for("fp")
-        assert s.solo_fallback_rate == pytest.approx(1 / 8)
-        assert s.bailed_lanes == 3
+        assert s.bailed_lanes == 6
+        assert s.lanes == 16
+        assert s.snapshot()["bailed_lanes"] == 6
 
     def test_pass_resets_the_explore_pressure_counter(self):
         ctrl = BatchController()
@@ -127,7 +126,6 @@ class TestCostModel:
         assert ctrl.stats_for("fp").solo_since_pass == 5
         ctrl.observe_pass(
             "fp", lanes=4, seconds=0.05, lane_iterations=[30] * 4,
-            solo_lanes=0,
         )
         assert ctrl.stats_for("fp").solo_since_pass == 0
 
@@ -151,7 +149,6 @@ def _learned(
             lanes=lanes,
             seconds=fixed + marginal * lanes,
             lane_iterations=[iterations] * lanes,
-            solo_lanes=0,
         )
 
 
@@ -173,7 +170,6 @@ class TestMaxBatchFor:
         assert ctrl.max_batch_for("fp", 16) == 16
         ctrl.observe_pass(
             "fp", lanes=4, seconds=1.0, lane_iterations=[30] * 4,
-            solo_lanes=0,
         )
         # One pass is still below min_explore_passes.
         assert ctrl.max_batch_for("fp", 16) == 16
@@ -189,17 +185,6 @@ class TestMaxBatchFor:
     def test_marginal_lane_dearer_than_solo_parks_the_pattern(self):
         ctrl = BatchController()
         _learned(ctrl, solo=0.001, marginal=0.002)
-        assert ctrl.max_batch_for("fp", 16) == 1
-
-    def test_rho_heavy_pattern_parks_solo(self):
-        ctrl = BatchController(fallback_threshold=0.4)
-        _learned(ctrl)
-        for _ in range(6):
-            ctrl.observe_pass(
-                "fp", lanes=4, seconds=0.018, lane_iterations=[30] * 4,
-                solo_lanes=4,
-            )
-        assert ctrl.stats_for("fp").solo_fallback_rate > 0.4
         assert ctrl.max_batch_for("fp", 16) == 1
 
     def test_explore_escape_revises_a_stale_solo_verdict(self):
@@ -219,7 +204,6 @@ class TestMaxBatchFor:
         for _ in range(3):  # constant size: no affine fit
             ctrl.observe_pass(
                 "fp", lanes=8, seconds=0.040, lane_iterations=[30] * 8,
-                solo_lanes=0,
             )
         # cap = budget * solo / lane = 6 * 0.020 / 0.005
         assert ctrl.max_batch_for("fp", 1 << 30) == 24
@@ -431,7 +415,6 @@ class TestConcurrency:
                         lanes=4 + i % 8,
                         seconds=0.02,
                         lane_iterations=[30] * (4 + i % 8),
-                        solo_lanes=0,
                     )
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
